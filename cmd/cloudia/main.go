@@ -153,18 +153,7 @@ func run(cfg runConfig) error {
 		return err
 	}
 
-	var prof topology.Profile
-	switch cfg.profile {
-	case "ec2":
-		prof = topology.EC2Profile()
-	case "gce":
-		prof = topology.GCEProfile()
-	case "rackspace":
-		prof = topology.RackspaceProfile()
-	default:
-		return fmt.Errorf("unknown profile %q", cfg.profile)
-	}
-	dc, err := topology.New(prof, cfg.seed)
+	dc, err := datacenter(cfg.profile, cfg.seed)
 	if err != nil {
 		return err
 	}
@@ -215,6 +204,22 @@ func run(cfg runConfig) error {
 	}
 	printText(rep, g)
 	return nil
+}
+
+// datacenter builds the simulated datacenter of the named cloud profile.
+func datacenter(profile string, seed int64) (*topology.Datacenter, error) {
+	var prof topology.Profile
+	switch profile {
+	case "ec2":
+		prof = topology.EC2Profile()
+	case "gce":
+		prof = topology.GCEProfile()
+	case "rackspace":
+		prof = topology.RackspaceProfile()
+	default:
+		return nil, fmt.Errorf("unknown profile %q", profile)
+	}
+	return topology.New(prof, seed)
 }
 
 func buildGraph(cfg runConfig) (*core.Graph, error) {

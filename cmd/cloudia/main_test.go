@@ -166,6 +166,7 @@ func TestRunServeBatchRejectsBadBatches(t *testing.T) {
 		{"solver", `{"tenants": [{"name": "a", "template": "ring", "ring": 4, "objective": "longest-link", "solver": "oracle"}]}`},
 		{"overalloc", `{"tenants": [{"name": "a", "template": "ring", "ring": 4, "objective": "longest-link", "overalloc": -0.5}]}`},
 		{"template", `{"tenants": [{"name": "a", "template": "torus", "objective": "longest-link"}]}`},
+		{"profile", `{"profile": "azure", "tenants": [{"name": "a", "template": "ring", "ring": 4, "objective": "longest-link"}]}`},
 		{"notjson", `{"tenants": `},
 	}
 	for _, c := range cases {

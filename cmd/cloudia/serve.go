@@ -42,7 +42,6 @@ import (
 	"cloudia/internal/measure"
 	"cloudia/internal/serve"
 	"cloudia/internal/solver"
-	"cloudia/internal/topology"
 )
 
 type serveFile struct {
@@ -177,18 +176,7 @@ func runServe(cfg runConfig) error {
 		batch.Seed = cfg.seed
 	}
 
-	var prof topology.Profile
-	switch batch.Profile {
-	case "ec2":
-		prof = topology.EC2Profile()
-	case "gce":
-		prof = topology.GCEProfile()
-	case "rackspace":
-		prof = topology.RackspaceProfile()
-	default:
-		return fmt.Errorf("unknown profile %q", batch.Profile)
-	}
-	dc, err := topology.New(prof, batch.Seed)
+	dc, err := datacenter(batch.Profile, batch.Seed)
 	if err != nil {
 		return err
 	}
@@ -222,12 +210,10 @@ func runServe(cfg runConfig) error {
 			// group was allocated and measured.
 			return fmt.Errorf("tenant %q: served jobs do not support the %q metric", tn.Name, spec.Metric)
 		}
-		if tn.Solver != "" {
-			// Probe the solver name now: discovering it at ticket.Wait would
-			// be after every group was allocated and measured.
-			if _, err := advisor.NewSolver(tn.Solver, 1, 0); err != nil {
-				return fmt.Errorf("tenant %q: %w", tn.Name, err)
-			}
+		// Resolve the solver name now: serve.Submit would reject it too,
+		// but only after every group was allocated and measured.
+		if _, err := advisor.ResolveSolver(tn.Solver, tn.ClusterK, solver.Budget{}, spec.Objective, false); err != nil {
+			return fmt.Errorf("tenant %q: %w", tn.Name, err)
 		}
 		overAlloc := 0.1 // the paper's default, as the -overalloc flag
 		if tn.OverAlloc != nil {

@@ -99,10 +99,9 @@ func (r *Report) Improvement() float64 {
 
 // validate checks every tenant-facing configuration field that does not
 // require allocated instances to judge, so both Advise and StreamingAdvise
-// reject a bad metric, scheme, objective, or solver name before a single
-// instance is allocated or measured — previously an unknown metric
-// surfaced only after the full measurement, and a streaming-unsupported
-// metric deep inside the run.
+// reject a bad metric, scheme, or objective before a single instance is
+// allocated or measured. The solver name is checked by ResolveSolver, which
+// allocate runs before allocating.
 func (cfg *Config) validate() error {
 	if cfg.Graph == nil {
 		return fmt.Errorf("advisor: nil communication graph")
@@ -113,22 +112,12 @@ func (cfg *Config) validate() error {
 	if cfg.OverAllocation < 0 {
 		return fmt.Errorf("advisor: negative over-allocation %g", cfg.OverAllocation)
 	}
-	if err := cfg.ObjectiveSpec.Validate(); err != nil {
-		return err
-	}
-	if cfg.SolverName != "" {
-		if _, err := NewSolver(cfg.SolverName, 1, 0); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cfg.ObjectiveSpec.Validate()
 }
 
-// validateStreaming extends validate with the one remaining streaming-only
+// validate extends Config.validate with the one streaming-only
 // restriction: mean+sd has no incremental per-epoch form (the epoch fold
 // maintains means and quantile sketches, not standard deviations).
-// Percentile metrics stream fine — epochs publish sketch-based p95/p99
-// matrices — so the old flag-level `-stream -metric p99` rejection is gone.
 func (cfg *StreamingConfig) validate() error {
 	if err := cfg.Config.validate(); err != nil {
 		return err
@@ -155,29 +144,66 @@ func OverAllocate(n int, ratio float64) int {
 	return n + extra
 }
 
-// NewSolver builds a solver by name. clusterK applies to cp and mip only.
+// solvers builds each search technique by name; clusterK applies to cp,
+// mip, and the portfolio.
+var solvers = map[string]func(clusterK int, seed int64) solver.Solver{
+	"cp":        func(k int, seed int64) solver.Solver { return cp.New(k, seed) },
+	"mip":       func(k int, seed int64) solver.Solver { return mip.New(k, seed) },
+	"g1":        func(int, int64) solver.Solver { return greedy.New(greedy.G1) },
+	"g2":        func(int, int64) solver.Solver { return greedy.New(greedy.G2) },
+	"r1":        func(_ int, seed int64) solver.Solver { return random.NewR1(1000, seed) },
+	"r2":        func(_ int, seed int64) solver.Solver { return random.NewR2(seed) },
+	"r2l":       func(_ int, seed int64) solver.Solver { return random.NewLocal(seed) },
+	"sa":        func(_ int, seed int64) solver.Solver { return anneal.New(seed) },
+	"portfolio": func(k int, seed int64) solver.Solver { return NewPortfolio(k, seed) },
+}
+
+// NewSolver builds a solver by name. clusterK applies to cp, mip, and the
+// portfolio.
 func NewSolver(name string, clusterK int, seed int64) (solver.Solver, error) {
-	switch name {
-	case "cp":
-		return cp.New(clusterK, seed), nil
-	case "mip":
-		return mip.New(clusterK, seed), nil
-	case "g1":
-		return greedy.New(greedy.G1), nil
-	case "g2":
-		return greedy.New(greedy.G2), nil
-	case "r1":
-		return random.NewR1(1000, seed), nil
-	case "r2":
-		return random.NewR2(seed), nil
-	case "r2l":
-		return random.NewLocal(seed), nil
-	case "sa":
-		return anneal.New(seed), nil
-	case "portfolio":
-		return NewPortfolio(clusterK, seed), nil
+	build, ok := solvers[name]
+	if !ok {
+		return nil, fmt.Errorf("advisor: unknown solver %q", name)
 	}
-	return nil, fmt.Errorf("advisor: unknown solver %q", name)
+	return build(clusterK, seed), nil
+}
+
+// SolverSpec is a resolved search configuration: which technique runs, at
+// which cluster count, under which budget.
+type SolverSpec struct {
+	Name     string
+	ClusterK int
+	Budget   solver.Budget
+}
+
+// ResolveSolver validates a solver name and applies the search defaults.
+// It is the one place they live: Advise, StreamingAdvise, SolveStream,
+// RunRedeploy, and the serving layer (admission and cache warm-up) all
+// resolve through it. An empty name selects cp for longest link and mip for
+// longest path when batch is set (the paper's choices, Sect. 6.3), and the
+// racing portfolio for warm-started rounds otherwise. A zero clusterK
+// selects the paper's k=20 (Fig. 6) for cp and for the portfolio's CP
+// member. An unlimited budget selects 2M search nodes.
+func ResolveSolver(name string, clusterK int, budget solver.Budget, obj solver.Objective, batch bool) (SolverSpec, error) {
+	switch {
+	case name != "":
+	case !batch:
+		name = "portfolio"
+	case obj == solver.LongestPath:
+		name = "mip"
+	default:
+		name = "cp"
+	}
+	if _, ok := solvers[name]; !ok {
+		return SolverSpec{}, fmt.Errorf("advisor: unknown solver %q", name)
+	}
+	if clusterK == 0 && (name == "cp" || name == "portfolio") {
+		clusterK = 20
+	}
+	if budget.Unlimited() {
+		budget = solver.Budget{Nodes: 2_000_000}
+	}
+	return SolverSpec{Name: name, ClusterK: clusterK, Budget: budget}, nil
 }
 
 // NewPortfolio builds the default parallel solver portfolio: the systematic
@@ -202,129 +228,135 @@ func NewPortfolio(clusterK int, seed int64) *solver.Portfolio {
 }
 
 // Advise runs the full ClouDiA pipeline against the provider: allocate,
-// measure, search, terminate extras. If any step after allocation fails,
-// every allocated instance is terminated before returning — a failed tuning
-// run must not leave the tenant paying for idle instances.
+// measure, search, terminate extras. The search is SolveStream over a
+// single final epoch holding the measured metric matrix, so batch and
+// streaming advising share one search loop. If any step after allocation
+// fails, every allocated instance is terminated before returning — a
+// failed tuning run must not leave the tenant paying for idle instances.
 func Advise(prov *cloud.Provider, cfg Config) (rep *Report, err error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	n := cfg.Graph.NumNodes()
-
-	// Step 1: allocate instances (Fig. 3, "Allocate Instances").
-	total := OverAllocate(n, cfg.OverAllocation)
-	instances, err := prov.RunInstances(total)
+	a, err := allocate(prov, &cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		if err != nil {
-			err = terminateAll(prov, instances, err)
-		}
-	}()
+	defer a.release(&err)
+	meas, out, err := a.solveOnce(0, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return a.report(out, meas, out.Solver, out.Search)
+}
 
-	// Step 2: get measurements (Fig. 3, "Get Measurements").
-	scheme := cfg.Scheme
-	if scheme == "" {
-		scheme = measure.Staged
+// allocation is one pipeline run's instances, with the measurement and
+// search defaults resolved. Advise, StreamingAdvise, and RunRedeploy share
+// it for Fig. 3's "Allocate Instances" and "Terminate Extra Instances"
+// steps.
+type allocation struct {
+	prov      *cloud.Provider
+	graph     *core.Graph
+	spec      ObjectiveSpec
+	search    SolverSpec
+	instances []cloud.Instance
+	// durationMS is the virtual budget of each measurement.
+	durationMS float64
+}
+
+// allocate resolves cfg's search defaults (batch as in ResolveSolver) and
+// measurement defaults, then allocates the over-allocated instances. A zero
+// MeasureDurationMS scales the paper's rule of 5 minutes per 100 instances
+// down to simulator scale: 20 ms of staged measurement per instance. cfg
+// must already be validated.
+func allocate(prov *cloud.Provider, cfg *Config, batch bool) (*allocation, error) {
+	search, err := ResolveSolver(cfg.SolverName, cfg.ClusterK, cfg.SolverBudget, cfg.Objective, batch)
+	if err != nil {
+		return nil, err
+	}
+	total := OverAllocate(cfg.Graph.NumNodes(), cfg.OverAllocation)
+	instances, err := prov.RunInstances(total)
+	if err != nil {
+		return nil, err
 	}
 	dur := cfg.MeasureDurationMS
 	if dur == 0 {
 		dur = 20 * float64(total)
 	}
-	meas, err := measure.Run(prov.Datacenter(), instances, measure.Options{
-		Scheme:     scheme,
-		DurationMS: dur,
-		Seed:       cfg.Seed,
+	return &allocation{prov: prov, graph: cfg.Graph, spec: cfg.WithDefaults(), search: search,
+		instances: instances, durationMS: dur}, nil
+}
+
+// release terminates every allocated instance when *err reports a failed
+// run, keeping the original error and noting any cleanup failure beside
+// it. Callers defer it on their named error result.
+func (a *allocation) release(err *error) {
+	if *err == nil {
+		return
+	}
+	ids := make([]string, len(a.instances))
+	for i, inst := range a.instances {
+		ids[i] = inst.ID
+	}
+	if terr := a.prov.TerminateInstances(ids); terr != nil {
+		*err = fmt.Errorf("%w (cleanup also failed: %v)", *err, terr)
+	}
+}
+
+// solveOnce measures the allocation once, starting at the given hour
+// (Fig. 3, "Get Measurements"), and searches the metric matrix as
+// SolveStream's single final epoch with the resolved solver and budget
+// (Fig. 3, "Search Deployment").
+func (a *allocation) solveOnce(hours float64, seed int64) (*measure.Result, *StreamOutcome, error) {
+	meas, err := measure.Run(a.prov.Datacenter(), a.instances, measure.Options{
+		Scheme:     a.spec.Scheme,
+		DurationMS: a.durationMS,
+		Seed:       seed,
+		StartHours: hours,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	costs, err := cfg.ObjectiveSpec.metricMatrix(meas)
-	if err != nil {
-		return nil, err
-	}
-	// Percentile metrics tie-break equal-cost deployments on the mean
-	// matrix (unless disabled), matching the streaming path's
-	// multi-objective mode.
-	var tie *core.CostMatrix
-	if cfg.TieBreak() {
-		tie = meas.MeanMatrix()
-	}
+	out, err := SolveStream(a.spec.batchEpoch(meas), StreamSolveConfig{
+		Graph:         a.graph,
+		ObjectiveSpec: a.spec,
+		SolverName:    a.search.Name,
+		ClusterK:      a.search.ClusterK,
+		RoundBudget:   a.search.Budget,
+		Seed:          seed,
+	})
+	return meas, out, err
+}
 
-	// Step 3: search deployment (Fig. 3, "Search Deployment").
-	prob, err := solver.NewProblemTie(cfg.Graph, costs, tie, cfg.Objective)
-	if err != nil {
-		return nil, err
-	}
-	name := cfg.SolverName
-	if name == "" {
-		if cfg.Objective == solver.LongestPath {
-			name = "mip"
-		} else {
-			name = "cp"
-		}
-	}
-	clusterK := cfg.ClusterK
-	if clusterK == 0 && (name == "cp" || name == "portfolio") {
-		clusterK = 20 // the paper's sweet spot (Fig. 6); also CP-in-portfolio
-	}
-	sol, err := NewSolver(name, clusterK, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	budget := cfg.SolverBudget
-	if budget.Unlimited() {
-		budget = solver.Budget{Nodes: 2_000_000}
-	}
-	res, err := sol.Solve(prob, budget)
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 4: terminate extra instances (Fig. 3, "Terminate Extra
-	// Instances").
-	used := make([]bool, total)
-	for _, inst := range res.Deployment {
+// report terminates the instances the outcome's deployment leaves unused
+// (Fig. 3, "Terminate Extra Instances") and assembles the run's Report.
+func (a *allocation) report(out *StreamOutcome, meas *measure.Result, name string, search *solver.Result) (*Report, error) {
+	used := make([]bool, len(a.instances))
+	for _, inst := range out.Deployment {
 		used[inst] = true
 	}
 	var terminated []string
-	for i, inst := range instances {
+	for i, inst := range a.instances {
 		if !used[i] {
 			terminated = append(terminated, inst.ID)
 		}
 	}
-	if err := prov.TerminateInstances(terminated); err != nil {
+	if err := a.prov.TerminateInstances(terminated); err != nil {
 		return nil, err
 	}
-
+	n := a.graph.NumNodes()
 	assignments := make([]cloud.Instance, n)
-	for node, inst := range res.Deployment {
-		assignments[node] = instances[inst]
+	for node, inst := range out.Deployment {
+		assignments[node] = a.instances[inst]
 	}
-	rep = &Report{
-		AllInstances:  instances,
-		Deployment:    res.Deployment,
+	return &Report{
+		AllInstances:  a.instances,
+		Deployment:    out.Deployment,
 		Assignments:   assignments,
 		TerminatedIDs: terminated,
-		DefaultCost:   prob.Cost(core.Identity(n)),
-		TunedCost:     res.Cost,
+		DefaultCost:   out.Problem.Cost(core.Identity(n)),
+		TunedCost:     out.Cost,
 		Measurement:   meas,
-		Search:        res,
-		SolverName:    sol.Name(),
-	}
-	return rep, nil
-}
-
-// terminateAll releases every instance after a failed run, preserving the
-// original error and noting any cleanup failure alongside it.
-func terminateAll(prov *cloud.Provider, instances []cloud.Instance, cause error) error {
-	ids := make([]string, len(instances))
-	for i, inst := range instances {
-		ids[i] = inst.ID
-	}
-	if terr := prov.TerminateInstances(ids); terr != nil {
-		return fmt.Errorf("%w (cleanup also failed: %v)", cause, terr)
-	}
-	return cause
+		Search:        search,
+		SolverName:    name,
+	}, nil
 }

@@ -3,7 +3,6 @@ package advisor
 import (
 	"fmt"
 
-	"cloudia/internal/core"
 	"cloudia/internal/measure"
 	"cloudia/internal/solver"
 )
@@ -95,21 +94,19 @@ func (s ObjectiveSpec) TieBreak() bool {
 	return s.TailPercentile() > 0 && !s.NoMeanTieBreak
 }
 
-// metricMatrix summarizes a batch measurement result under the spec's
-// metric. For percentile metrics this is the exact sample percentile — the
-// streaming path instead consumes the sketch-based estimates the epochs
+// batchEpoch publishes a batch measurement result as the single final epoch
+// SolveStream searches: its matrix is the mean (or, for mean+sd, the
+// mean-plus-standard-deviation) matrix, and for percentile metrics its tail
+// is the exact sample percentile, searched with the mean as tie-break. The
+// streaming path instead consumes the sketch-based estimates its epochs
 // publish (measure.TailMatrix), which land within the sketch's
 // relative-error bound of these.
-func (s ObjectiveSpec) metricMatrix(meas *measure.Result) (*core.CostMatrix, error) {
-	switch s.Metric {
-	case "", MetricMean:
-		return meas.MeanMatrix(), nil
-	case MetricMeanPlusStd:
-		return meas.MeanPlusStdMatrix(), nil
-	case MetricP95:
-		return meas.PercentileMatrix(95), nil
-	case MetricP99:
-		return meas.P99Matrix(), nil
+func (s ObjectiveSpec) batchEpoch(meas *measure.Result) <-chan measure.Epoch {
+	if pct := s.TailPercentile(); pct > 0 {
+		return OneEpoch(meas.MeanMatrix(), meas.PercentileMatrix(pct), pct)
 	}
-	return nil, fmt.Errorf("advisor: unknown metric %q", s.Metric)
+	if s.Metric == MetricMeanPlusStd {
+		return OneEpoch(meas.MeanPlusStdMatrix(), nil, 0)
+	}
+	return OneEpoch(meas.MeanMatrix(), nil, 0)
 }

@@ -2,11 +2,9 @@ package advisor
 
 import (
 	"fmt"
-	"math"
 
 	"cloudia/internal/cloud"
 	"cloudia/internal/core"
-	"cloudia/internal/measure"
 	"cloudia/internal/solver"
 )
 
@@ -39,8 +37,8 @@ type RedeployConfig struct {
 	// amortized over one period — for every node that moves, modelling
 	// state-migration downtime. It participates in the re-deploy decision.
 	MigrationCostPerNode float64
-	// MeasureDurationMS and SolverBudget mirror Config; zeros select the
-	// same defaults.
+	// MeasureDurationMS, SolverBudget, SolverName, ClusterK, and Seed
+	// mirror Config; zeros select the same defaults (ResolveSolver).
 	MeasureDurationMS float64
 	SolverBudget      solver.Budget
 	SolverName        string
@@ -94,12 +92,25 @@ func (r *RedeployReport) meanCost(f func(PeriodOutcome) float64) float64 {
 	return sum / float64(len(r.Periods))
 }
 
-// RunRedeploy executes the adaptive session against the provider. If any
-// step after allocation fails, every allocated instance is terminated before
+// RunRedeploy executes the adaptive session against the provider. It runs
+// the batch pipeline's own steps — the same allocation and search defaults
+// as Advise, and each period's measure-and-search as SolveStream over one
+// final epoch — so the two modes cannot drift apart. If any step after
+// allocation fails, every allocated instance is terminated before
 // returning, mirroring Advise.
 func RunRedeploy(prov *cloud.Provider, cfg RedeployConfig) (rep *RedeployReport, err error) {
-	if cfg.Graph == nil {
-		return nil, fmt.Errorf("advisor: nil communication graph")
+	batch := Config{
+		Graph:             cfg.Graph,
+		ObjectiveSpec:     ObjectiveSpec{Objective: cfg.Objective},
+		OverAllocation:    cfg.OverAllocation,
+		MeasureDurationMS: cfg.MeasureDurationMS,
+		SolverName:        cfg.SolverName,
+		ClusterK:          cfg.ClusterK,
+		SolverBudget:      cfg.SolverBudget,
+		Seed:              cfg.Seed,
+	}
+	if err := batch.validate(); err != nil {
+		return nil, err
 	}
 	if cfg.PeriodHours <= 0 || cfg.Periods <= 0 {
 		return nil, fmt.Errorf("advisor: non-positive period configuration")
@@ -110,77 +121,19 @@ func RunRedeploy(prov *cloud.Provider, cfg RedeployConfig) (rep *RedeployReport,
 	if cfg.MinImprovement < 0 || cfg.MigrationCostPerNode < 0 {
 		return nil, fmt.Errorf("advisor: negative re-deployment thresholds")
 	}
-	n := cfg.Graph.NumNodes()
-	total := int(math.Ceil(float64(n) * (1 + cfg.OverAllocation)))
-	if total < n {
-		total = n
-	}
-	instances, err := prov.RunInstances(total)
+	a, err := allocate(prov, &batch, true)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		if err != nil {
-			err = terminateAll(prov, instances, err)
-		}
-	}()
+	defer a.release(&err)
 
-	dur := cfg.MeasureDurationMS
-	if dur == 0 {
-		dur = 20 * float64(total)
-	}
-	budget := cfg.SolverBudget
-	if budget.Unlimited() {
-		budget = solver.Budget{Nodes: 2_000_000}
-	}
-	name := cfg.SolverName
-	if name == "" {
-		if cfg.Objective == solver.LongestPath {
-			name = "mip"
-		} else {
-			name = "cp"
-		}
-	}
-	clusterK := cfg.ClusterK
-	if clusterK == 0 && name == "cp" {
-		clusterK = 20
-	}
-
-	// solveAt measures the network at the given hour and searches a plan.
-	// The problem is returned so each period's cost evaluations reuse it —
-	// and with it the shared Prep artifacts its solver already computed —
-	// instead of rebuilding an identical problem from the same matrix.
-	solveAt := func(hours float64, seed int64) (*solver.Problem, core.Deployment, error) {
-		meas, err := measure.Run(prov.Datacenter(), instances, measure.Options{
-			Scheme:     measure.Staged,
-			DurationMS: dur,
-			Seed:       seed,
-			StartHours: hours,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		prob, err := solver.NewProblem(cfg.Graph, meas.MeanMatrix(), cfg.Objective)
-		if err != nil {
-			return nil, nil, err
-		}
-		sol, err := NewSolver(name, clusterK, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := sol.Solve(prob, budget)
-		if err != nil {
-			return nil, nil, err
-		}
-		return prob, res.Deployment, nil
-	}
-
-	_, initial, err := solveAt(0, cfg.Seed)
+	_, first, err := a.solveOnce(0, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
+	initial := first.Deployment
 	rep = &RedeployReport{
-		Instances: instances,
+		Instances: a.instances,
 		Initial:   initial.Clone(),
 		Final:     initial.Clone(),
 	}
@@ -188,16 +141,19 @@ func RunRedeploy(prov *cloud.Provider, cfg RedeployConfig) (rep *RedeployReport,
 
 	for p := 1; p <= cfg.Periods; p++ {
 		hours := float64(p) * cfg.PeriodHours
-		prob, candidate, err := solveAt(hours, cfg.Seed+int64(p)*101)
+		// Each period's cost evaluations reuse the period's problem — and
+		// with it the Prep artifacts its solver already computed.
+		_, period, err := a.solveOnce(hours, cfg.Seed+int64(p)*101)
 		if err != nil {
 			return nil, err
 		}
+		prob, candidate := period.Problem, period.Deployment
 		out := PeriodOutcome{
 			Hours:      hours,
 			StaticCost: prob.Cost(initial),
 		}
 		curCost := prob.Cost(current)
-		candCost := prob.Cost(candidate)
+		candCost := period.Cost
 		moves := diffCount(current, candidate)
 		// Re-deploy when the predicted gain clears both the hysteresis
 		// threshold and the amortized migration charge.

@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"reflect"
 	"testing"
 
 	"cloudia/internal/cloud"
@@ -147,5 +148,64 @@ func TestRedeployKeepsSpareInstances(t *testing.T) {
 	// Adaptive sessions retain the full allocation (no termination).
 	if p.LiveInstances() != before+len(rep.Instances) {
 		t.Fatalf("live instances %d, want %d", p.LiveInstances(), before+len(rep.Instances))
+	}
+}
+
+// Re-deployment allocates through OverAllocate like the other pipelines:
+// the naive ceil(n*(1+r)) gave 111 instances for 100 nodes at 0.1
+// (100*1.1 = 110.00000000000001).
+func TestRedeployOverAllocatesRobustly(t *testing.T) {
+	rep, err := RunRedeploy(provider(t, 71), RedeployConfig{
+		Graph:          meshGraph(t, 10, 10),
+		Objective:      solver.LongestLink,
+		OverAllocation: 0.1,
+		PeriodHours:    8,
+		Periods:        1,
+		SolverName:     "g1",
+		Seed:           73,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(rep.Instances); got != 110 {
+		t.Fatalf("allocated %d instances for 100 nodes at 0.1, want 110", got)
+	}
+}
+
+// Re-deployment resolves solver defaults like Advise: the portfolio's CP
+// and MIP members cluster at the paper's k=20, so the initial plan is
+// exactly the batch search's, and differs from the unclustered
+// portfolio's on this instance.
+func TestRedeployPortfolioUsesDefaultClusterK(t *testing.T) {
+	const seed = 501
+	cfg := Config{
+		Graph:          meshGraph(t, 3, 3),
+		ObjectiveSpec:  ObjectiveSpec{Objective: solver.LongestLink, Metric: MetricMean},
+		OverAllocation: 0.3,
+		SolverName:     "portfolio",
+		SolverBudget:   solver.Budget{Nodes: 5_000},
+		Seed:           seed,
+	}
+	want := referenceAdvise(t, seed, cfg)
+	unclustered := cfg
+	unclustered.ClusterK = -1
+	if reflect.DeepEqual(referenceAdvise(t, seed, unclustered).Deployment, want.Deployment) {
+		t.Fatal("instance does not tell k=20 from unclustered; pick another seed")
+	}
+	rep, err := RunRedeploy(provider(t, seed), RedeployConfig{
+		Graph:          cfg.Graph,
+		Objective:      cfg.Objective,
+		OverAllocation: cfg.OverAllocation,
+		PeriodHours:    8,
+		Periods:        1,
+		SolverName:     cfg.SolverName,
+		SolverBudget:   cfg.SolverBudget,
+		Seed:           seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Initial, want.Deployment) {
+		t.Fatalf("initial plan %v, want the k=20 portfolio's %v", rep.Initial, want.Deployment)
 	}
 }

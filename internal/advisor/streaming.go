@@ -82,6 +82,22 @@ type StreamOutcome struct {
 	// Deployment is the best incumbent found so far rather than the final
 	// epoch's, and any unconsumed epochs were left on the channel.
 	Interrupted bool
+	// Search is the last round's raw solver result (trace, optimality
+	// proof, nodes expanded) and Solver the name of the technique that
+	// produced it; batch Advise reports them as its search outcome.
+	Search *solver.Result
+	Solver string
+}
+
+// Winner returns the most recent round winner, skipping rounds where the
+// carried incumbent survived.
+func (o *StreamOutcome) Winner() string {
+	for i := len(o.Rounds) - 1; i >= 0; i-- {
+		if o.Rounds[i].Winner != "" {
+			return o.Rounds[i].Winner
+		}
+	}
+	return ""
 }
 
 // StreamSolveConfig drives SolveStream.
@@ -91,15 +107,16 @@ type StreamSolveConfig struct {
 	// ObjectiveSpec says what to optimize. With a percentile metric each
 	// round searches the epoch's published percentile matrix (ep.Tail) and,
 	// unless NoMeanTieBreak is set, tie-breaks equal-cost candidates on the
-	// epoch's mean matrix. The spec's Scheme is ignored here — SolveStream
-	// consumes epochs, it does not measure.
+	// epoch's mean matrix. Other metrics search the epoch's Matrix as
+	// published: a producer serving mean+sd (batch Advise) publishes the
+	// mean-plus-sd matrix there. The spec's Scheme is ignored here —
+	// SolveStream consumes epochs, it does not measure.
 	ObjectiveSpec
-	// SolverName picks the per-round search technique (as in Config);
-	// empty selects the racing portfolio.
+	// SolverName and ClusterK pick the per-round search technique, resolved
+	// by ResolveSolver for rounds: an empty name selects the racing
+	// portfolio.
 	SolverName string
-	// ClusterK rounds costs for cp/portfolio members; zero selects the
-	// paper's k=20 for them, mirroring Advise.
-	ClusterK int
+	ClusterK   int
 	// RoundBudget bounds each round's solve; required (an unbounded round
 	// would swallow the stream).
 	RoundBudget solver.Budget
@@ -153,21 +170,14 @@ func SolveStream(epochs <-chan measure.Epoch, cfg StreamSolveConfig) (*StreamOut
 	if err := cfg.ObjectiveSpec.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Metric == MetricMeanPlusStd {
-		return nil, fmt.Errorf("advisor: streaming advising does not support the %q metric (epochs carry mean and percentile matrices)", MetricMeanPlusStd)
-	}
 	if cfg.RoundBudget.Unlimited() {
 		return nil, fmt.Errorf("advisor: streaming rounds require a bounded budget")
 	}
+	search, err := ResolveSolver(cfg.SolverName, cfg.ClusterK, cfg.RoundBudget, cfg.Objective, false)
+	if err != nil {
+		return nil, err
+	}
 	pct := cfg.TailPercentile()
-	name := cfg.SolverName
-	if name == "" {
-		name = "portfolio"
-	}
-	clusterK := cfg.ClusterK
-	if clusterK == 0 && (name == "cp" || name == "portfolio") {
-		clusterK = 20
-	}
 
 	ctx := cfg.Ctx
 	if ctx == nil {
@@ -249,19 +259,20 @@ func SolveStream(epochs <-chan measure.Epoch, cfg StreamSolveConfig) (*StreamOut
 		// A fresh solver per round keeps member seeds decorrelated across
 		// rounds while staying deterministic per (Seed, round).
 		round := len(out.Rounds)
-		sol, err := NewSolver(name, clusterK, cfg.Seed+int64(round)*0x9e3779b9)
+		sol, err := NewSolver(search.Name, search.ClusterK, cfg.Seed+int64(round)*0x9e3779b9)
 		if err != nil {
 			return nil, err
 		}
 		var res *solver.Result
 		if cs, isCtx := sol.(solver.ContextSolver); isCtx {
-			res, err = cs.SolveContext(ctx, prob, cfg.RoundBudget)
+			res, err = cs.SolveContext(ctx, prob, search.Budget)
 		} else {
-			res, err = sol.Solve(prob, cfg.RoundBudget)
+			res, err = sol.Solve(prob, search.Budget)
 		}
 		if err != nil {
 			return nil, err
 		}
+		out.Search, out.Solver = res, sol.Name()
 
 		// Keep the better of the round's result and the carried incumbent,
 		// both priced under this epoch's matrix (solver-reported costs may
@@ -305,6 +316,22 @@ func SolveStream(epochs <-chan measure.Epoch, cfg StreamSolveConfig) (*StreamOut
 	out.Cost = incumbentCost
 	out.FirstAdvice = out.Rounds[0].Elapsed
 	return out, nil
+}
+
+// OneEpoch returns a closed stream holding a single final epoch over an
+// already measured matrix — how batch callers (Advise, RunRedeploy, and
+// served single-matrix jobs) hand SolveStream their input. A non-nil tail
+// is published as the epoch's pct-percentile matrix. Both matrices flow
+// down by reference; they are not cloned.
+func OneEpoch(matrix, tail *core.CostMatrix, pct float64) <-chan measure.Epoch {
+	ep := measure.Epoch{Index: 1, Final: true, Matrix: matrix}
+	if tail != nil {
+		ep.Tails = []measure.TailMatrix{{Pct: pct, Matrix: tail}}
+	}
+	ch := make(chan measure.Epoch, 1)
+	ch <- ep
+	close(ch)
+	return ch
 }
 
 // epochPrimary selects the matrix a round searches: the epoch's mean matrix
@@ -405,37 +432,20 @@ func StreamingAdvise(prov *cloud.Provider, cfg StreamingConfig) (rep *StreamingR
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	n := cfg.Graph.NumNodes()
-
-	total := OverAllocate(n, cfg.OverAllocation)
-	instances, err := prov.RunInstances(total)
+	a, err := allocate(prov, &cfg.Config, false)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		if err != nil {
-			err = terminateAll(prov, instances, err)
-		}
-	}()
+	defer a.release(&err)
 
-	scheme := cfg.Scheme
-	if scheme == "" {
-		scheme = measure.Staged
-	}
-	dur := cfg.MeasureDurationMS
-	if dur == 0 {
-		dur = 20 * float64(total)
-	}
+	dur := a.durationMS
 	epochMS := cfg.EpochMS
 	if epochMS == 0 {
 		epochMS = dur / 8
 	}
 	roundBudget := cfg.RoundBudget
 	if roundBudget.Unlimited() {
-		total := cfg.SolverBudget
-		if total.Unlimited() {
-			total = solver.Budget{Nodes: 2_000_000}
-		}
+		total := a.search.Budget
 		// measure.Stream publishes intermediate epochs in [epochMS, dur)
 		// plus the final one: ceil(dur/epochMS) rounds in total.
 		rounds := int64(math.Ceil(dur / epochMS))
@@ -460,8 +470,8 @@ func StreamingAdvise(prov *cloud.Provider, cfg StreamingConfig) (rep *StreamingR
 	if cfg.TailPercentile() > 0 {
 		tailAlpha = measure.DefaultTailAlpha
 	}
-	st, err := measure.Stream(prov.Datacenter(), instances, measure.Options{
-		Scheme:          scheme,
+	st, err := measure.Stream(prov.Datacenter(), a.instances, measure.Options{
+		Scheme:          a.spec.Scheme,
 		DurationMS:      dur,
 		Seed:            cfg.Seed,
 		SnapshotEveryMS: epochMS,
@@ -478,9 +488,9 @@ func StreamingAdvise(prov *cloud.Provider, cfg StreamingConfig) (rep *StreamingR
 	// that mature in real time should set Coalesce instead.
 	out, err := SolveStream(st.Epochs, StreamSolveConfig{
 		Graph:         cfg.Graph,
-		ObjectiveSpec: cfg.ObjectiveSpec,
-		SolverName:    cfg.SolverName,
-		ClusterK:      cfg.ClusterK,
+		ObjectiveSpec: a.spec,
+		SolverName:    a.search.Name,
+		ClusterK:      a.search.ClusterK,
 		RoundBudget:   roundBudget,
 		Seed:          cfg.Seed,
 	})
@@ -489,63 +499,15 @@ func StreamingAdvise(prov *cloud.Provider, cfg StreamingConfig) (rep *StreamingR
 	}
 	meas := st.Wait()
 
-	// Terminate the extra instances (Fig. 3, "Terminate Extra Instances").
-	used := make([]bool, total)
-	for _, inst := range out.Deployment {
-		used[inst] = true
-	}
-	var terminated []string
-	for i, inst := range instances {
-		if !used[i] {
-			terminated = append(terminated, inst.ID)
-		}
-	}
-	if err := prov.TerminateInstances(terminated); err != nil {
+	last := out.Rounds[len(out.Rounds)-1]
+	r, err := a.report(out, meas, "streaming-"+a.search.Name, &solver.Result{
+		Deployment: out.Deployment,
+		Cost:       out.Cost,
+		Elapsed:    last.Elapsed,
+		Winner:     out.Winner(),
+	})
+	if err != nil {
 		return nil, err
 	}
-
-	assignments := make([]cloud.Instance, n)
-	for node, inst := range out.Deployment {
-		assignments[node] = instances[inst]
-	}
-	last := out.Rounds[len(out.Rounds)-1]
-	rep = &StreamingReport{
-		Report: Report{
-			AllInstances:  instances,
-			Deployment:    out.Deployment,
-			Assignments:   assignments,
-			TerminatedIDs: terminated,
-			DefaultCost:   out.Problem.Cost(core.Identity(n)),
-			TunedCost:     out.Cost,
-			Measurement:   meas,
-			Search: &solver.Result{
-				Deployment: out.Deployment,
-				Cost:       out.Cost,
-				Elapsed:    last.Elapsed,
-				Winner:     lastWinner(out.Rounds),
-			},
-			SolverName: "streaming-" + streamSolverName(cfg.SolverName),
-		},
-		Rounds:      out.Rounds,
-		FirstAdvice: out.FirstAdvice,
-	}
-	return rep, nil
-}
-
-func streamSolverName(name string) string {
-	if name == "" {
-		return "portfolio"
-	}
-	return name
-}
-
-// lastWinner returns the most recent round winner, skipping rounds where
-// the carried incumbent survived.
-func lastWinner(rounds []Round) string {
-	for i := len(rounds) - 1; i >= 0; i-- {
-		if rounds[i].Winner != "" {
-			return rounds[i].Winner
-		}
-	}
-	return ""
+	return &StreamingReport{Report: *r, Rounds: out.Rounds, FirstAdvice: out.FirstAdvice}, nil
 }

@@ -270,9 +270,10 @@ func openSession(dir, tenant string, opts wal.Options) (*tenantSession, error) {
 // reseedCache warms the shared cache with the recovered tenant's matrix
 // artifacts under its current fingerprint, keyed by the solver
 // configuration of its last advice — the configuration its next advise is
-// overwhelmingly likely to repeat. Matrix artifacts derive from costs
-// alone, so a minimal one-node problem is enough to compute them; graph
-// family artifacts are not persisted and re-warm on first use.
+// overwhelmingly likely to repeat — through the same Cache.warm a served
+// job uses. Matrix artifacts derive from costs alone, so a minimal one-node
+// problem is enough to compute them; graph family artifacts are not
+// persisted and re-warm on first use.
 func (d *Daemon) reseedCache(sess *tenantSession) error {
 	adv := sess.lastAdvice
 	if adv == nil || sess.snap == nil {
@@ -293,31 +294,8 @@ func (d *Daemon) reseedCache(sess *tenantSession) error {
 	if err != nil {
 		return fmt.Errorf("serve: tenant %q: re-seeding cache: %w", sess.name, err)
 	}
-	prep := prob.Prep()
-	name := adv.SolverName
-	if name == "" {
-		name = "portfolio"
-	}
-	k := adv.ClusterK
-	if k == 0 && (name == "cp" || name == "portfolio") {
-		k = 20
-	}
-	switch name {
-	case "cp", "portfolio":
-		if _, err := d.cache.Rounded(fp, k, prep); err != nil {
-			return err
-		}
-	case "mip":
-		if k > 0 {
-			if _, err := d.cache.Rounded(fp, k, prep); err != nil {
-				return err
-			}
-		}
-	}
-	if name == "g1" || name == "portfolio" {
-		d.cache.CheapestRows(fp, prep)
-	}
-	return nil
+	_, _, err = d.cache.warm(fp, prob.Prep(), adv.SolverName, adv.ClusterK, solver.Objective(adv.Objective), nil)
+	return err
 }
 
 // session returns the tenant's session, creating its directory and log on
@@ -587,7 +565,7 @@ func (d *Daemon) Advise(req AdviseRequest) (*Result, error) {
 			ClusterK:    req.ClusterK,
 			Objective:   string(req.Objective),
 			Metric:      string(req.WithDefaults().Metric),
-			Winner:      outcomeWinner(res.Outcome),
+			Winner:      res.Outcome.Winner(),
 			Cost:        res.Outcome.Cost,
 			Deployment:  res.Outcome.Deployment,
 		}
@@ -605,17 +583,6 @@ func (d *Daemon) Advise(req AdviseRequest) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// outcomeWinner is the most recent round winner, skipping rounds the
-// carried incumbent survived.
-func outcomeWinner(out *advisor.StreamOutcome) string {
-	for i := len(out.Rounds) - 1; i >= 0; i-- {
-		if out.Rounds[i].Winner != "" {
-			return out.Rounds[i].Winner
-		}
-	}
-	return ""
 }
 
 // TenantStatus is one tenant's durable-state snapshot.

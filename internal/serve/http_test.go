@@ -179,6 +179,9 @@ func TestHTTPErrorMapping(t *testing.T) {
 		{"advise bad metric", "/v1/advise", map[string]any{
 			"tenant": "acme", "graph": graphPayload(t, 2, 2), "metric": "p42",
 		}, http.StatusBadRequest, "bad_request"},
+		{"advise unknown solver", "/v1/advise", map[string]any{
+			"tenant": "acme", "graph": graphPayload(t, 2, 2), "solver": "oracle", "budget_nodes": 1000,
+		}, http.StatusBadRequest, "bad_request"},
 		{"advise unknown tenant", "/v1/advise", map[string]any{
 			"tenant": "ghost", "graph": graphPayload(t, 2, 2),
 		}, http.StatusNotFound, "unknown_tenant"},
@@ -196,6 +199,11 @@ func TestHTTPErrorMapping(t *testing.T) {
 		if e.Error.Code != tc.errCode {
 			t.Errorf("%s: error code %q, want %q", tc.name, e.Error.Code, tc.errCode)
 		}
+	}
+	// Every rejection above happens at admission or before it: no job was
+	// admitted, dispatched, or counted as failed.
+	if st := d.Stats().Server; st.Submitted != 0 || st.Failed != 0 {
+		t.Errorf("submitted %d failed %d, want 0 and 0", st.Submitted, st.Failed)
 	}
 
 	// Transient admission rejections advertise a retry — in the Retry-After

@@ -266,6 +266,9 @@ func (s *Server) Submit(job Job) (*Ticket, error) {
 	if err := job.ObjectiveSpec.Validate(); err != nil {
 		return nil, err
 	}
+	if _, err := advisor.ResolveSolver(job.SolverName, job.ClusterK, job.RoundBudget, job.Objective, false); err != nil {
+		return nil, err
+	}
 	if job.Metric == advisor.MetricMeanPlusStd {
 		return nil, fmt.Errorf("serve: jobs do not support the %q metric (epochs carry mean and percentile matrices)", advisor.MetricMeanPlusStd)
 	}
@@ -354,16 +357,7 @@ func (s *Server) runJob(shard int, tk task) (res *Result) {
 
 	epochs := job.Epochs
 	if epochs == nil {
-		// The matrices flow down as-is: the one-epoch channel wraps the
-		// caller's snapshots, it does not clone them.
-		ep := measure.Epoch{Index: 1, Final: true, Matrix: job.Matrix}
-		if job.TailMatrix != nil {
-			ep.Tails = []measure.TailMatrix{{Pct: job.TailPercentile(), Matrix: job.TailMatrix}}
-		}
-		ch := make(chan measure.Epoch, 1)
-		ch <- ep
-		close(ch)
-		epochs = ch
+		epochs = advisor.OneEpoch(job.Matrix, job.TailMatrix, job.TailPercentile())
 	}
 
 	br := &cacheBridge{
@@ -471,80 +465,66 @@ func (b *cacheBridge) onProblem(prob, prev *solver.Problem, ep measure.Epoch, ch
 		b.cache.Supersede(b.prevFP, fp, changedRows)
 		return nil
 	}
+	hits, misses, err := b.cache.warm(fp, prob.Prep(), b.solverName, b.clusterK, b.spec.Objective, b.graph)
+	b.hits += hits
+	b.misses += misses
+	return err
+}
 
-	// Resolve the same defaults SolveStream applies, so the bridge warms
-	// the artifacts the solver will actually request.
-	name := b.solverName
-	if name == "" {
-		name = "portfolio"
+// warm ensures prep holds the content-addressed artifacts the solver will
+// request for the matrix fp identifies, resolving the solver defaults as
+// SolveStream does. It is the one solver -> artifact mapping, shared by the
+// per-job bridge and the daemon's restart reseed; graph is nil when
+// graph-content artifacts are not wanted (reseed: they are not persisted
+// and re-warm on first use). It reports how many artifacts came from,
+// respectively were computed into, the cache.
+//
+// The artifacts are independent (distinct single-flight slots, distinct
+// Prep cells), so they prefetch concurrently instead of each solver
+// faulting them in serially under its sync.Once. Results are folded back
+// in the fixed rounded/rows/graph order after the join, so hit/miss counts
+// and the error a caller sees stay deterministic regardless of scheduling;
+// with one worker the closures run sequentially inline.
+func (c *Cache) warm(fp core.Fingerprint, prep *solver.Prep, name string, clusterK int, obj solver.Objective, graph *core.Graph) (hits, misses int, err error) {
+	search, err := advisor.ResolveSolver(name, clusterK, solver.Budget{}, obj, false)
+	if err != nil {
+		return 0, 0, err
 	}
-	k := b.clusterK
-	if k == 0 && (name == "cp" || name == "portfolio") {
-		k = 20
-	}
-	prep := prob.Prep()
-
-	// The known solver family maps to a fixed artifact set; the artifacts
-	// are independent (distinct single-flight slots, distinct Prep cells),
-	// so they prefetch concurrently instead of each solver faulting them in
-	// serially under its sync.Once. Results are folded back in the fixed
-	// rounded/rows/graph order after the join, so hit/miss counts and the
-	// error a caller sees stay deterministic regardless of scheduling; with
-	// one worker the closures run sequentially inline, exactly the old path.
-	var (
-		doRounded, doRows, doGraph    bool
-		roundedHit, rowsHit, graphHit bool
-		roundedErr                    error
-	)
-	switch name {
-	case "cp", "portfolio":
-		// CP consumes the pair list at every k, clustered or not.
-		doRounded = true
-	case "mip":
-		// Unclustered MIP reads the raw matrix directly and never asks
-		// Prep for the k<=0 entry; warming it would sort ~m^2 pairs
-		// nobody reads.
-		doRounded = k > 0
-	}
-	doRows = name == "g1" || name == "portfolio"
+	name, k := search.Name, search.ClusterK
+	// CP consumes the pair list at every k, clustered or not. Unclustered
+	// MIP reads the raw matrix directly and never asks Prep for the k<=0
+	// entry; warming it would sort ~m^2 pairs nobody reads.
+	doRounded := name == "cp" || name == "portfolio" || (name == "mip" && k > 0)
+	doRows := name == "g1" || name == "portfolio"
 	// Longest-path problems run the branch-and-bound member over the
 	// transposed graph; the transpose and its topological order are
 	// graph-content artifacts shared under the graph's own fingerprint
 	// (the per-family sub-key), so longest-path fleets share more than
 	// matrix-derived entries.
-	doGraph = b.spec.Objective == solver.LongestPath && (name == "mip" || name == "portfolio")
+	doGraph := graph != nil && obj == solver.LongestPath && (name == "mip" || name == "portfolio")
 
+	var roundedHit, rowsHit, graphHit bool
+	var roundedErr error
 	warms := make([]func(), 0, 3)
 	if doRounded {
-		warms = append(warms, func() { roundedHit, roundedErr = b.cache.Rounded(fp, k, prep) })
+		warms = append(warms, func() { roundedHit, roundedErr = c.Rounded(fp, k, prep) })
 	}
 	if doRows {
-		warms = append(warms, func() { rowsHit = b.cache.CheapestRows(fp, prep) })
+		warms = append(warms, func() { rowsHit = c.CheapestRows(fp, prep) })
 	}
 	if doGraph {
-		warms = append(warms, func() { graphHit = b.cache.TransposedGraph(b.graph.Fingerprint(), prep) })
+		warms = append(warms, func() { graphHit = c.TransposedGraph(graph.Fingerprint(), prep) })
 	}
 	par.Do(warms...)
-
-	if doRounded {
-		if roundedErr != nil {
-			return roundedErr
+	if roundedErr != nil {
+		return 0, 0, roundedErr
+	}
+	for _, w := range [...][2]bool{{doRounded, roundedHit}, {doRows, rowsHit}, {doGraph, graphHit}} {
+		if w[0] && w[1] {
+			hits++
+		} else if w[0] {
+			misses++
 		}
-		b.count(roundedHit)
 	}
-	if doRows {
-		b.count(rowsHit)
-	}
-	if doGraph {
-		b.count(graphHit)
-	}
-	return nil
-}
-
-func (b *cacheBridge) count(hit bool) {
-	if hit {
-		b.hits++
-	} else {
-		b.misses++
-	}
+	return hits, misses, nil
 }
